@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Protocol
 
 from ..obs.trace import NULL_RECORDER
-from ..simulation import PRIORITY_URGENT, Environment, Event, Resource
+from ..simulation import Environment, Event, Resource
 from .parameters import NetworkParameters
 from .topology import Topology, TopologySpec, resolve_topology
 
@@ -88,19 +88,18 @@ class NetworkModel(Protocol):
 class _Carry:
     """Callback-driven store-and-forward carry of one message.
 
-    Replays exactly the event sequence of the generator-based carry
-    process it replaced — a start event at URGENT priority standing in
-    for the Process ``Initialize``, then per stage: resource request →
-    hold timeout → release — without a generator frame, a Process
-    object, or the termination event nobody ever waited on.  That drops
-    roughly a third of the scheduled events behind every network message
-    on the DES hot path.  The replacement must stay *schedule-identical*
-    to the generator: the seed oracles
-    (tests/protocol/test_scale_seed_identity.py) pin it event-for-event.
+    Takes the stages of the route in order — each link, then the
+    receiver's NIC — as ``request(hold)`` → release, with no generator
+    frame or Process object.  Each stage costs one engine event: the
+    resource schedules the end of the hold when it grants the request
+    (see :meth:`Resource.request`).  Holds take their sequence numbers
+    in grant order, which keeps the seed oracles
+    (tests/protocol/test_scale_seed_identity.py) bit-identical; the
+    argument is in docs/PERFORMANCE.md, "The DES hot path".
     """
 
     __slots__ = ("net", "src", "dst", "nbytes", "item", "delivered",
-                 "extra_delay", "route", "stage", "res", "req", "hold",
+                 "route", "stage", "res", "hold",
                  "link_track", "t_req")
 
     def __init__(self, net: "GraphNetwork", src: int, dst: int, nbytes: int,
@@ -111,28 +110,18 @@ class _Carry:
         self.nbytes = nbytes
         self.item = item
         self.delivered = delivered
-        self.extra_delay = extra_delay
         self.route: tuple[tuple[int, int], ...] = ()
         self.stage = 0
         self.res: Optional[Resource] = None
-        self.req: Optional[Event] = None
         self.hold = 0.0
         self.link_track: Optional[str] = None
         self.t_req = 0.0
-        # Mirrors Process.Initialize: the carry starts at the current
-        # instant but *after* everything already scheduled at it.
-        start = Event(net.env)
-        start.callbacks.append(self._start)
-        net.env.schedule(start, PRIORITY_URGENT, 0.0)
-
-    def _start(self, event: Event) -> None:
-        if self.extra_delay > 0:
-            delay = self.net.env.timeout(self.extra_delay)
-            delay.callbacks.append(self._begin)
+        if extra_delay > 0:
+            net.env.timeout(extra_delay).callbacks.append(self._begin)
         else:
-            self._begin(event)
+            self._begin(None)
 
-    def _begin(self, _event: Event) -> None:
+    def _begin(self, _event: Optional[Event]) -> None:
         self.route = self.net.topology.route(self.src, self.dst)
         self._next_stage()
 
@@ -157,16 +146,10 @@ class _Carry:
         self.res = res
         self.hold = hold
         self.t_req = net.env.now
-        req = res.request()
-        self.req = req
-        req.callbacks.append(self._acquired)
+        res.request(hold).callbacks.append(self._release)
 
-    def _acquired(self, _event: Event) -> None:
-        held = self.net.env.timeout(self.hold)
-        held.callbacks.append(self._release)
-
-    def _release(self, _event: Event) -> None:
-        self.res.release(self.req)
+    def _release(self, req: Event) -> None:
+        self.res.release(req)
         if self.link_track is not None:
             # Wire occupancy (plus queueing behind earlier frames, as an
             # arg): recorded inside the existing release callback, so no

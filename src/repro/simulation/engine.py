@@ -403,9 +403,9 @@ class Environment:
         """Schedule ``event``'s callbacks to run after ``delay``.
 
         Low-level entry point for callback-driven components that need
-        an event to fire without carrying a value (e.g. the network's
-        message carries); most code should use :meth:`Event.succeed` /
-        :meth:`Event.fail` or :meth:`timeout` instead.
+        an event to fire without carrying a value; most code should use
+        :meth:`Event.succeed` / :meth:`Event.fail` or :meth:`timeout`
+        instead.
         """
         self._schedule(event, priority, delay)
 

@@ -4,12 +4,18 @@
 the shared Ethernet bus and per-host network interfaces.  Requests are
 events; the canonical usage inside a simulated process is::
 
-    req = bus.request()
-    yield req
-    yield env.timeout(transmit_time)
-    bus.release(req)
+    req = bus.request(transmit_time)
+    try:
+        yield req
+    finally:
+        bus.release(req)
 
-or, equivalently, ``yield from bus.use(transmit_time)``.
+or, equivalently, ``yield from bus.use(transmit_time)``.  The request
+fires ``transmit_time`` after the grant: the hold is scheduled at the
+moment the resource is granted (inside :meth:`Resource.request` when it
+is free, inside the :meth:`Resource.release` that hands it over
+otherwise), so a hold costs one engine event.  ``request()`` with no
+delay fires at the grant.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator
 
-from .engine import Environment, Event
-from .errors import SimulationError
+from .engine import PRIORITY_NORMAL, Environment, Event
+from .errors import ScheduleInPastError, SimulationError
 
 __all__ = ["Resource"]
 
 
 class _Request(Event):
-    __slots__ = ()
+    __slots__ = ("delay",)
 
 
 class Resource:
@@ -52,15 +58,23 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def request(self) -> Event:
-        """Return an event that fires once the resource is acquired."""
+    def request(self, delay: float = 0.0) -> Event:
+        """Return an event that fires ``delay`` seconds after the grant.
+
+        The caller holds the resource from the grant until it calls
+        :meth:`release`; with a ``delay`` the event marks the end of the
+        hold, so the grant itself needs no event of its own.
+        """
+        if delay < 0:
+            raise ScheduleInPastError(self.env.now, self.env.now + delay)
         req = _Request(self.env)
+        req.delay = delay
         self.total_requests += 1
         if len(self._users) < self.capacity:
             # Granted at once: zero wait, so skip the timestamp churn —
             # this is the overwhelmingly common case on the hot path.
             self._users.add(req)
-            req.succeed()
+            self._grant(req)
         else:
             self._request_times[id(req)] = self.env.now
             self._waiting.append(req)
@@ -82,7 +96,13 @@ class Resource:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
             self._account_wait(nxt)
-            nxt.succeed()
+            self._grant(nxt)
+
+    def _grant(self, req: _Request) -> None:
+        # Scheduled at the grant, so holds take their sequence numbers
+        # in grant order and equal-time holds fire in that order.
+        req._value = None
+        self.env._schedule(req, PRIORITY_NORMAL, req.delay)
 
     def _account_wait(self, req: _Request) -> None:
         start = self._request_times.pop(id(req), None)
@@ -90,10 +110,13 @@ class Resource:
             self.total_wait_time += self.env.now - start
 
     def use(self, hold_time: float) -> Generator[Event, None, None]:
-        """Acquire, hold for ``hold_time`` simulated seconds, release."""
-        req = self.request()
-        yield req
+        """Acquire, hold for ``hold_time`` simulated seconds, release.
+
+        The request is released (or, still queued, cancelled) however
+        the wait ends — also when the calling process is stopped.
+        """
+        req = self.request(hold_time)
         try:
-            yield self.env.timeout(hold_time)
+            yield req
         finally:
             self.release(req)

@@ -12,6 +12,7 @@ from repro.network.bus import SharedBusNetwork
 from repro.network.graph import GraphNetwork, build_network
 from repro.network.parameters import NetworkParameters
 from repro.network.topology import Topology
+from repro.simulation import Environment
 
 PARAMS = NetworkParameters(send_overhead=1e-3, recv_overhead=1.2e-3,
                            wire_latency=0.2e-3, bandwidth=1e6,
@@ -212,3 +213,60 @@ def test_out_of_range_and_negative_bytes_rejected(env):
         env.run(env.process(bad_host()))
     with pytest.raises(ValueError):
         env.run(env.process(bad_bytes()))
+
+
+# -- event budget ---------------------------------------------------------
+
+class _CountingEnv(Environment):
+    """An environment that counts the events it processes."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
+def _steps_for(topology, transfers):
+    env = _CountingEnv()
+    net = GraphNetwork(env, topology, PARAMS)
+
+    def sender(src, dst):
+        ev = yield from net.transmit(src, dst, 1000)
+        yield ev
+
+    for src, dst in transfers:
+        env.process(sender(src, dst))
+    env.run()
+    return env.steps, net
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_event_budget_uncontended_ring_transfer(k):
+    """One ``k``-hop ring transfer takes ``k + 5`` engine events.
+
+    Per transfer: the sender's ``Initialize``; one event for the send
+    NIC (``use()`` is a single ``request(send_overhead)`` that fires at
+    the end of the hold); one per link and one for the receive NIC (each
+    stage is a single ``request(hold)``, the carry starting inline in
+    ``transmit``); the delivery event; the sender's termination.  That
+    is ``1 + 1 + (k + 1) + 1 + 1``.
+    """
+    steps, _net = _steps_for(Topology.ring(8), [(0, k)])
+    assert steps == k + 5
+
+
+def test_event_budget_contended_link():
+    """Two senders contending for one link cost no extra event.
+
+    ``0 -> 1`` and ``1 -> 0`` on a ring share the wire of edge ``0-1``;
+    each is a one-hop transfer of ``1 + 5 = 6`` events (see above), 12
+    in all.  The queued request is granted, and its hold scheduled,
+    inside the ``release()`` of the frame ahead of it, so queueing adds
+    no event.
+    """
+    steps, net = _steps_for(Topology.ring(4), [(0, 1), (1, 0)])
+    assert net.link(0, 1).total_wait_time > 0  # the second frame queued
+    assert steps == 12

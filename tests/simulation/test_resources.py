@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simulation import Environment, Resource, SimulationError
+from repro.simulation import (Environment, Resource, ScheduleInPastError,
+                              SimulationError)
 
 
 def test_capacity_validation(env):
@@ -141,3 +142,118 @@ def test_use_releases_on_completion(env):
     env.run(env.process(worker()))
     assert res.in_use == 0
     assert res.queue_length == 0
+
+
+def test_use_releases_when_stopped_while_queued(env):
+    """A process stopped while queued in ``use()`` must not keep a grant."""
+    res = Resource(env)
+
+    def holder():
+        yield from res.use(5.0)
+
+    def waiter():
+        yield env.timeout(1.0)
+        yield from res.use(1.0)
+
+    def stopper(proc):
+        yield env.timeout(2.0)
+        proc.stop()
+
+    env.process(holder())
+    env.process(stopper(env.process(waiter())))
+    env.run()
+    assert res.in_use == 0
+    assert res.queue_length == 0
+
+
+def test_use_releases_when_stopped_while_holding(env):
+    res = Resource(env)
+
+    def worker():
+        yield from res.use(5.0)
+
+    def stopper(proc):
+        yield env.timeout(2.0)
+        proc.stop()
+        assert res.in_use == 1
+
+    env.process(stopper(env.process(worker())))
+    env.run(until=3.0)
+    assert res.in_use == 0
+
+
+# -- request(delay): the hold is scheduled at the grant -----------------
+
+def _hold(env, res, delay, log, name, at=0.0):
+    """Request at ``at``, log the time the request fires, release."""
+    yield env.timeout(at)
+    req = res.request(delay)
+    yield req
+    log.append((env.now, name))
+    res.release(req)
+
+
+def test_delayed_request_fires_after_free_grant(env):
+    res = Resource(env)
+    req = res.request(2.0)
+    assert res.in_use == 1  # granted inside request()
+    env.run()
+    assert req.processed
+    assert env.now == 2.0
+    assert res.in_use == 1  # the caller still holds until it releases
+    res.release(req)
+    assert res.in_use == 0
+
+
+def test_delayed_request_fires_after_queued_grant(env):
+    res = Resource(env)
+    log = []
+    env.process(_hold(env, res, 3.0, log, "holder"))
+    env.process(_hold(env, res, 2.0, log, "queued", at=1.0))
+    env.run()
+    # Granted at 3.0 by the holder's release, then held for 2.0.
+    assert log == [(3.0, "holder"), (5.0, "queued")]
+
+
+def test_fifo_order_across_mixed_delays(env):
+    res = Resource(env)
+    log = []
+    env.process(_hold(env, res, 1.0, log, "holder"))
+    env.process(_hold(env, res, 5.0, log, "a", at=0.1))
+    env.process(_hold(env, res, 0.5, log, "b", at=0.2))
+    env.process(_hold(env, res, 2.0, log, "c", at=0.3))
+    env.run()
+    # A short hold queued later does not overtake a long one queued
+    # earlier: grants follow request order, holds follow grants.
+    assert log == [(1.0, "holder"), (6.0, "a"), (6.5, "b"), (8.5, "c")]
+
+
+def test_release_cancels_queued_delayed_request(env):
+    res = Resource(env)
+    held = res.request(2.0)
+    queued = res.request(1.0)
+    assert res.queue_length == 1
+    res.release(queued)
+    assert res.queue_length == 0
+    env.run()
+    res.release(held)
+    env.run()
+    assert not queued.triggered  # never granted, never fired
+    assert res.in_use == 0
+    assert env.now == 2.0
+
+
+def test_wait_time_counts_queued_delayed_requests(env):
+    res = Resource(env)
+    log = []
+    env.process(_hold(env, res, 2.0, log, "holder"))
+    env.process(_hold(env, res, 1.0, log, "queued", at=0.5))
+    env.run()
+    assert log == [(2.0, "holder"), (3.0, "queued")]
+    assert res.total_requests == 2
+    assert res.total_wait_time == pytest.approx(1.5)  # queued 0.5 -> 2.0
+
+
+def test_negative_delay_rejected(env):
+    with pytest.raises(ScheduleInPastError):
+        Resource(env).request(-1.0)
