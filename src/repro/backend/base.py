@@ -11,36 +11,128 @@ A backend supplies the four execution facets the protocol layer
 * **compute** — how a compute slice burns "work" (simulated load-model
   time vs. synthetic CPU-burn kernels).
 
-The protocol objects emit commands; the backend interprets them.  Two
-interpreters ship today: :class:`~repro.backend.sim.SimBackend` (the
-original discrete-event kernel, bit-identical to the pre-seam runtime)
-and :class:`~repro.backend.thread.ThreadBackend` (real threads, real
-queues, wall-clock time).  Future backends (async, multiprocess,
-sharded balancers) implement this same interface without touching
-protocol logic.
+The protocol objects emit commands; the backend interprets them.  The
+discrete-event :class:`~repro.backend.sim.SimBackend` does so through
+its own adapters (bit-identical to the pre-seam runtime); the thread,
+process and socket backends share one interpreter,
+:func:`repro.protocol.driver.drive`, and differ only in the port that
+realizes its effects.
+
+What each backend runs is one table, :data:`CAPABILITIES`, checked on
+entry by :func:`check_run`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import Callable, Iterable, Optional, TYPE_CHECKING, Union
+
+from ..core.strategies.base import StrategySpec
+from ..core.strategies.registry import get_strategy
+from ..runtime.options import RunOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..apps.workload import LoopSpec
-    from ..core.strategies.base import StrategySpec
     from ..faults.plan import FaultPlan
     from ..machine.cluster import ClusterSpec
-    from ..runtime.options import RunOptions
     from ..runtime.stats import LoopRunStats
 
-__all__ = ["ExecutionBackend", "BackendError", "get_backend",
-           "join_or_terminate"]
+__all__ = ["ExecutionBackend", "BackendError", "CAPABILITIES",
+           "check_run", "get_backend", "join_or_terminate", "mp_context",
+           "requested_features"]
 
 StrategyLike = Union[str, "StrategySpec"]
 
 
 class BackendError(ValueError):
     """A run was requested that this backend cannot execute."""
+
+
+#: What runs where: each feature a run may ask for, and the backends
+#: that execute it.  docs/ARCHITECTURE.md holds the same table.
+CAPABILITIES: dict[str, frozenset[str]] = {
+    "work-stealing": frozenset({"sim"}),
+    "custom-selection": frozenset({"sim"}),
+    "fault-injection": frozenset({"sim", "process", "socket"}),
+    "non-crash-faults": frozenset({"sim"}),
+    "fault-tolerance": frozenset({"sim", "process", "socket"}),
+    "periodic-sync": frozenset({"sim"}),
+    "staging": frozenset({"sim"}),
+    "graph-topology": frozenset({"sim", "thread"}),
+}
+
+#: Why a backend lacking a feature refuses it; ``{backend}`` and
+#: ``{mesh}`` (its flat transport) are filled in.
+_REASONS = {
+    "work-stealing": "the work-stealing baseline is simulation-only",
+    "custom-selection": (
+        "the CUSTOM model-based selection consults the simulated load "
+        "model; pick a concrete strategy for --backend {backend}"),
+    "fault-injection": (
+        "fault injection is simulation-only (threads cannot be crashed "
+        "safely from outside)"),
+    "non-crash-faults": (
+        "the {backend} backend lifts crash faults only; slowdowns, drops "
+        "and delays remain simulation-only"),
+    "fault-tolerance": (
+        "the hardened protocol needs injectable faults; run it on the sim "
+        "backend (tests/protocol exercises the transitions)"),
+    "periodic-sync": "periodic synchronization is simulation-only",
+    "staging": "staged scatter/gather is simulation-only",
+    "graph-topology": (
+        "graph topologies (and the diffusion strategy) run on the sim and "
+        "thread backends; the {backend} transport is a flat {mesh} mesh"),
+}
+_MESH = {"process": "shared-memory", "socket": "TCP"}
+
+
+def requested_features(spec: StrategySpec, options: RunOptions, selector,
+                       fault_plan: Optional["FaultPlan"]) -> list[str]:
+    """The :data:`CAPABILITIES` a run asks for, in checking order."""
+    faults = fault_plan is not None and not fault_plan.empty
+    wanted = {
+        "work-stealing": spec.code == "WS",
+        "custom-selection": spec.code == "CUSTOM" or selector is not None,
+        "fault-injection": faults,
+        "non-crash-faults": faults and bool(
+            fault_plan.slowdowns or fault_plan.drops or fault_plan.delays),
+        "fault-tolerance": options.fault_tolerance.enabled,
+        "periodic-sync": options.sync_mode != "interrupt",
+        "staging": options.include_staging,
+        "graph-topology": options.topology is not None or spec.code == "DIFF",
+    }
+    return [feature for feature, on in wanted.items() if on]
+
+
+def check_run(backend: str, strategy: StrategyLike, n: int,
+              options: Optional[RunOptions], selector,
+              fault_plan: Optional["FaultPlan"]
+              ) -> tuple[StrategySpec, RunOptions, Optional["FaultPlan"]]:
+    """The run-entry preamble of the real backends.
+
+    Resolves the strategy, refuses (:class:`BackendError`) any requested
+    feature ``backend`` lacks in :data:`CAPABILITIES`, and validates the
+    fault plan.  Returns ``(spec, options, fault_plan)``: an empty plan
+    becomes ``None``, and a plan switches the hardened protocol on.
+    """
+    options = options or RunOptions()
+    spec = strategy if isinstance(strategy, StrategySpec) \
+        else get_strategy(strategy)
+    for feature in requested_features(spec, options, selector, fault_plan):
+        if backend not in CAPABILITIES[feature]:
+            raise BackendError(_REASONS[feature].format(
+                backend=backend, mesh=_MESH.get(backend)))
+    if spec.is_dlb and spec.code != "NONE" and n < 2:
+        raise ValueError(
+            "dynamic load balancing needs at least 2 processors")
+    if fault_plan is None or fault_plan.empty:
+        return spec, options, None
+    fault_plan.validate_for(n)
+    if not options.fault_tolerance.enabled:
+        options = options.but(fault_tolerance=replace(
+            options.fault_tolerance, enabled=True))
+    return spec, options, fault_plan
 
 
 class ExecutionBackend(ABC):
@@ -119,3 +211,16 @@ def join_or_terminate(participants: Iterable, *, timeout: float = 5.0,
         if p.is_alive():
             stragglers.append(getattr(p, "name", None) or repr(p))
     return stragglers
+
+
+def mp_context(method: Optional[str]):
+    """The ``multiprocessing`` context for ``method`` (default: fork
+    where the platform has it) of the process-spawning backends."""
+    import multiprocessing
+    if method is None:
+        methods = multiprocessing.get_all_start_methods()
+        method = "fork" if "fork" in methods else methods[0]
+    try:
+        return multiprocessing.get_context(method)
+    except ValueError as exc:
+        raise BackendError(f"unknown start method {method!r}") from exc

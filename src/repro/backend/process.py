@@ -48,12 +48,10 @@ protocol (timed receives, resends, death declarations) reshapes the
 group exactly as on the other backends.  Iterations the victim executed
 but never reported — and those still in its assignment — are salvaged:
 re-executed by the parent and credited to the lowest-numbered survivor,
-so exactly-once coverage holds for every crash plan.  Slowdown, drop,
-and delay faults remain simulation-only (:class:`BackendError`).
+so exactly-once coverage holds for every crash plan.
 
-Deliberate non-goals (raise :class:`BackendError`), as for threads:
-the simulated external-load model, CUSTOM selection, the WS baseline,
-periodic synchronization, and staged scatter/gather.
+The features this backend refuses (:class:`BackendError`) are listed in
+:data:`~repro.backend.base.CAPABILITIES`.
 """
 
 from __future__ import annotations
@@ -69,35 +67,28 @@ from typing import Callable, Optional, Sequence
 
 from ..apps.workload import LoopSpec, WorkTable
 from ..core.policy import DlbPolicy
-from ..core.redistribution import make_movement_cost_estimator
-from ..core.strategies.base import StrategySpec
-from ..core.strategies.registry import get_strategy
+from ..core.redistribution import movement_estimator
 from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec, build_groups
 from ..message.messages import Message, Tag
 from ..protocol import (
     AwaitMessage,
     BalancerProtocol,
-    Charge,
     ComputeDone,
-    DeclareDead,
-    Done,
     MessageReceived,
     PeerDead,
-    RecordSync,
-    Send,
-    Start,
-    StartCompute,
     TimerFired,
     WorkerProtocol,
 )
 from ..obs.metrics import CounterDict, MetricsRegistry
 from ..obs.trace import NULL_RECORDER, TraceRecorder
-from ..protocol.commands import Emit
+from ..protocol.driver import drive_blocking
 from ..runtime.assignment import (
     Assignment,
+    coverage_gaps,
     equal_block_partition,
     merge_ranges,
+    verify_coverage,
 )
 from ..runtime.options import FaultToleranceConfig, RunOptions
 from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
@@ -105,7 +96,9 @@ from .base import (
     BackendError,
     ExecutionBackend,
     StrategyLike,
+    check_run,
     join_or_terminate,
+    mp_context,
 )
 from .kernels import (
     HAVE_NUMPY,
@@ -193,11 +186,21 @@ class _BalancerConfig:
 
 
 class _CrashClock:
-    """The child-local realization of a scheduled fail-stop."""
+    """The child-local realization of a scheduled fail-stop.
 
-    def __init__(self, crash_at: Optional[float], t0: float) -> None:
+    ``queues`` are every queue the child may put to.  A queue's feeder
+    thread holds the queue's cross-process write lock while it writes,
+    and a process that exits in that moment leaves the lock held, so
+    every later writer (the peers, the parent's death notices) blocks
+    forever.  The crash therefore waits for the feeders to finish what
+    was already sent before the process stops.
+    """
+
+    def __init__(self, crash_at: Optional[float], t0: float,
+                 queues: Sequence = ()) -> None:
         self.crash_at = crash_at
         self.t0 = t0
+        self.queues = queues
 
     @property
     def armed(self) -> bool:
@@ -210,6 +213,9 @@ class _CrashClock:
     def check(self) -> None:
         """Fail-stop right now if the schedule says so."""
         if self.due():
+            for q in self.queues:
+                q.close()
+                q.join_thread()
             os._exit(CRASH_EXIT_CODE)
 
 
@@ -245,7 +251,7 @@ class _ChildMailbox:
     buffered; INTERRUPTs never surface — they fold into an epoch set
     polled at iteration boundaries (same contract as the simulator's
     mailbox hook and the thread backend's flags).  Parent-injected
-    :class:`_PeerDeadNotice` objects pre-empt any wait.
+    :class:`_PeerDeadNotice` objects pre-empt any wait, queued or not.
     """
 
     def __init__(self, q, crash: _CrashClock) -> None:
@@ -272,11 +278,6 @@ class _ChildMailbox:
             except queue_mod.Empty:
                 return
 
-    def take_notices(self) -> list[_PeerDeadNotice]:
-        self.poll()
-        notices, self._notices = self._notices, []
-        return notices
-
     # -- interrupt flags -------------------------------------------------
     def has_interrupt(self, epoch: int) -> bool:
         return epoch in self._interrupts
@@ -285,16 +286,6 @@ class _ChildMailbox:
         self._interrupts = {e for e in self._interrupts if e > up_to_epoch}
 
     # -- filtered receive ------------------------------------------------
-    @staticmethod
-    def _matches(msg: Message, spec: AwaitMessage) -> bool:
-        if spec.tags is not None and msg.tag not in spec.tags:
-            return False
-        if spec.epoch is not None and msg.epoch != spec.epoch:
-            return False
-        if spec.srcs is not None and msg.src not in spec.srcs:
-            return False
-        return True
-
     def get(self, spec: AwaitMessage):
         """Next notice or matching message; ``None`` on spec timeout.
 
@@ -303,11 +294,12 @@ class _ChildMailbox:
         """
         deadline = time.perf_counter() + (
             spec.timeout if spec.timeout is not None else WATCHDOG_SECONDS)
+        self.poll()
         while True:
             if self._notices:
                 return self._notices.pop(0)
             for i, msg in enumerate(self._buffer):
-                if self._matches(msg, spec):
+                if spec.matches(msg):
                     return self._buffer.pop(i)
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
@@ -366,13 +358,8 @@ class _ChildReporter:
         self._stats_q.put(("exec", self.me, tuple(ranges)))
 
     def sync(self, group: int, epoch: int, plan) -> None:
-        self._stats_q.put(("sync", group, epoch, {
-            "time": self.now(), "reason": plan.reason,
-            "moved_work": plan.work_to_move if plan.move else 0.0,
-            "n_transfers": len(plan.transfers),
-            "retired": tuple(plan.retire),
-            "predicted_current": plan.predicted_current,
-            "predicted_balanced": plan.predicted_balanced}))
+        self._stats_q.put(
+            ("sync", SyncRecord.from_plan(self.now(), group, epoch, plan)))
 
     def declared(self, peer: int) -> None:
         self._stats_q.put(("declared", self.me, peer))
@@ -397,6 +384,56 @@ class _ChildReporter:
         """Block until the stats queue's feeder drained (pre-exit)."""
         self._stats_q.close()
         self._stats_q.join_thread()
+
+
+class _ChildPort:
+    """The driver port of one child (see :mod:`repro.protocol.driver`).
+
+    ``compute`` runs the worker's compute slice and returns its status;
+    the balancer has none.
+    """
+
+    def __init__(self, reporter: _ChildReporter, mailbox: _ChildMailbox,
+                 crash: _CrashClock, rec, track: str,
+                 compute: Optional[Callable[[], str]] = None) -> None:
+        self.reporter = reporter
+        self.mailbox = mailbox
+        self.crash = crash
+        self.rec = rec
+        self.track = track
+        self._compute = compute
+
+    def send(self, msg: Message) -> None:
+        self.crash.check()
+        self.reporter.send(msg)
+
+    def record_sync(self, group: int, epoch: int, plan) -> None:
+        self.reporter.sync(group, epoch, plan)
+
+    def declare_dead(self, peer: int) -> None:
+        self.reporter.declared(peer)
+
+    def emit(self, name: str, args: dict) -> None:
+        self.rec.event(name, track=self.track, **args)
+
+    def finish(self, reason: str) -> None:
+        if self.rec.enabled:
+            # Ship the trace buffer before the finish record so the
+            # parent merges it ahead of run teardown.
+            self.reporter.trace(self.rec.to_payload())
+        self.reporter.finish("finish" if self._compute else "bfinish")
+
+    def compute(self) -> ComputeDone:
+        return ComputeDone(self._compute())
+
+    def wait(self, spec: AwaitMessage):
+        got = self.mailbox.get(spec)
+        if got is None:
+            self.reporter.retries += 1
+            return TimerFired()
+        if isinstance(got, _PeerDeadNotice):
+            return PeerDead(got.node)
+        return MessageReceived(got)
 
 
 # ---------------------------------------------------------------------------
@@ -465,82 +502,9 @@ def _compute_slice(proto: WorkerProtocol, cfg: _WorkerConfig,
             reporter.executed(merge_ranges(done_batch))
 
 
-def _drive_worker(proto: WorkerProtocol, cfg: _WorkerConfig,
-                  mailbox: _ChildMailbox, reporter: _ChildReporter,
-                  crash: _CrashClock, shm, row_pattern: bytes,
-                  rec=NULL_RECORDER) -> None:
-    last_await: Optional[AwaitMessage] = None
-    commands = proto.on_event(Start())
-    while True:
-        await_spec: Optional[AwaitMessage] = None
-        next_event = None
-        for cmd in commands:
-            if isinstance(cmd, Send):
-                crash.check()
-                reporter.send(cmd.msg)
-            elif isinstance(cmd, StartCompute):
-                status = _compute_slice(proto, cfg, mailbox, reporter,
-                                        crash, shm, row_pattern, rec)
-                next_event = ComputeDone(status)
-            elif isinstance(cmd, AwaitMessage):
-                await_spec = cmd
-                last_await = cmd
-            elif isinstance(cmd, RecordSync):
-                reporter.sync(cmd.group, cmd.epoch, cmd.plan)
-            elif isinstance(cmd, Charge):
-                pass  # planning costs real time on a real backend
-            elif isinstance(cmd, DeclareDead):
-                reporter.declared(cmd.peer)
-            elif isinstance(cmd, Emit):
-                rec.event(cmd.name, track=f"node{cfg.node}", **cmd.args())
-            elif isinstance(cmd, Done):
-                if rec.enabled:
-                    # Ship the trace buffer before the finish record so
-                    # the parent merges it ahead of run teardown.
-                    reporter.trace(rec.to_payload())
-                reporter.finish()
-                return
-            else:  # pragma: no cover - defensive
-                raise BackendError(f"unhandled command {cmd!r}")
-        if next_event is None:
-            notices = mailbox.take_notices()
-            if notices:
-                next_event = PeerDead(notices[0].node)
-                for late in notices[1:]:
-                    mailbox._notices.append(late)
-            else:
-                if await_spec is None:
-                    # A PeerDead pump can return no commands (the death
-                    # was irrelevant to the current phase): keep the
-                    # previous wait armed.
-                    await_spec = last_await
-                if await_spec is None:  # pragma: no cover - defensive
-                    raise BackendError(
-                        "protocol yielded neither wait nor compute")
-                got = mailbox.get(await_spec)
-                if got is None:
-                    reporter.retries += 1
-                    next_event = TimerFired()
-                elif isinstance(got, _PeerDeadNotice):
-                    next_event = PeerDead(got.node)
-                else:
-                    next_event = MessageReceived(got)
-        commands = proto.on_event(next_event)
-
-
-def _movement_fn(movement: Optional[tuple[float, float]], dc_bytes: int,
-                 mean_iteration_time: float):
-    if movement is None:
-        return None
-    latency, bandwidth = movement
-    return make_movement_cost_estimator(
-        latency=latency, bandwidth=bandwidth, dc_bytes=dc_bytes,
-        mean_iteration_time=mean_iteration_time)
-
-
 def _worker_main(cfg: _WorkerConfig, queues, balancer_q, stats_q,
                  t0: float) -> None:
-    crash = _CrashClock(cfg.crash_at, t0)
+    crash = _CrashClock(cfg.crash_at, t0, (*queues, balancer_q, stats_q))
     reporter = _ChildReporter(cfg.node, queues, balancer_q, stats_q,
                               centralized=cfg.centralized,
                               lb_host=cfg.lb_host, t0=t0)
@@ -560,16 +524,18 @@ def _worker_main(cfg: _WorkerConfig, queues, balancer_q, stats_q,
             policy=cfg.policy, table=cfg.table,
             mean_iteration_time=cfg.mean_iteration_time,
             dc_bytes=cfg.dc_bytes,
-            movement_cost_fn=_movement_fn(cfg.movement, cfg.dc_bytes,
-                                          cfg.mean_iteration_time),
+            movement_cost_fn=movement_estimator(
+                cfg.movement, cfg.dc_bytes, cfg.mean_iteration_time),
             ft=cfg.ft, profile_window_reset=cfg.profile_window_reset,
             assignment=Assignment(cfg.ranges), is_dlb=cfg.is_dlb)
         proto.emit_trace = cfg.trace_events
         rec = TraceRecorder(clock=reporter.now) if cfg.trace_events \
             else NULL_RECORDER
         mailbox = _ChildMailbox(queues[cfg.node], crash)
-        _drive_worker(proto, cfg, mailbox, reporter, crash, shm,
-                      row_pattern, rec)
+        drive_blocking(proto, _ChildPort(
+            reporter, mailbox, crash, rec, f"node{cfg.node}",
+            lambda: _compute_slice(proto, cfg, mailbox, reporter, crash,
+                                   shm, row_pattern, rec)))
     except BaseException:
         reporter.error(traceback.format_exc())
         reporter.flush()  # os._exit skips the feeder's atexit flush
@@ -588,41 +554,15 @@ def _balancer_main(cfg: _BalancerConfig, queues, balancer_q, stats_q,
         proto = BalancerProtocol(
             cfg.host, [list(g) for g in cfg.groups], policy=cfg.policy,
             mean_iteration_time=cfg.mean_iteration_time,
-            movement_cost_fn=_movement_fn(
+            movement_cost_fn=movement_estimator(
                 cfg.movement, 0, cfg.mean_iteration_time),
             ft=cfg.ft)
         proto.emit_trace = cfg.trace_events
         rec = TraceRecorder(clock=reporter.now) if cfg.trace_events \
             else NULL_RECORDER
-        mailbox = _ChildMailbox(balancer_q, crash)
-        commands = proto.on_event(Start())
-        while True:
-            await_spec = None
-            for cmd in commands:
-                if isinstance(cmd, Send):
-                    reporter.send(cmd.msg)
-                elif isinstance(cmd, AwaitMessage):
-                    await_spec = cmd
-                elif isinstance(cmd, RecordSync):
-                    reporter.sync(cmd.group, cmd.epoch, cmd.plan)
-                elif isinstance(cmd, Charge):
-                    pass
-                elif isinstance(cmd, Emit):
-                    rec.event(cmd.name, track="balancer", **cmd.args())
-                elif isinstance(cmd, Done):
-                    if rec.enabled:
-                        reporter.trace(rec.to_payload())
-                    reporter.finish(kind="bfinish")
-                    return
-                else:  # pragma: no cover - defensive
-                    raise BackendError(f"unhandled command {cmd!r}")
-            if await_spec is None:  # pragma: no cover - defensive
-                raise BackendError("balancer yielded no wait")
-            got = mailbox.get(await_spec)
-            if isinstance(got, _PeerDeadNotice):
-                commands = proto.on_event(PeerDead(got.node))
-            else:
-                commands = proto.on_event(MessageReceived(got))
+        drive_blocking(proto, _ChildPort(
+            reporter, _ChildMailbox(balancer_q, crash), crash, rec,
+            "balancer"))
     except BaseException:
         reporter.error(traceback.format_exc())
         reporter.flush()
@@ -659,66 +599,16 @@ class ProcessBackend(ExecutionBackend):
         #: raises, exercising the shutdown/teardown path.
         self._fail_after: dict[int, int] = {}
 
-    def _context(self):
-        import multiprocessing
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError as exc:
-            raise BackendError(f"unknown start method {method!r}") from exc
-
-    # -- validation ------------------------------------------------------
-    def _validate(self, spec: StrategySpec, n: int, options: RunOptions,
-                  selector, fault_plan: Optional[FaultPlan]) -> None:
-        if spec.code == "WS":
-            raise BackendError(
-                "the work-stealing baseline is simulation-only")
-        if spec.code == "CUSTOM" or selector is not None:
-            raise BackendError(
-                "the CUSTOM model-based selection consults the simulated "
-                "load model; pick a concrete strategy for "
-                "--backend process")
-        if fault_plan is not None and not fault_plan.empty:
-            if fault_plan.slowdowns or fault_plan.drops or fault_plan.delays:
-                raise BackendError(
-                    "the process backend lifts crash faults only; "
-                    "slowdowns, drops and delays remain simulation-only")
-        if options.sync_mode != "interrupt":
-            raise BackendError(
-                "periodic synchronization is simulation-only")
-        if options.include_staging:
-            raise BackendError("staged scatter/gather is simulation-only")
-        if options.topology is not None or spec.code == "DIFF":
-            raise BackendError(
-                "graph topologies (and the diffusion strategy) run on the "
-                "sim and thread backends; the process transport is a flat "
-                "shared-memory mesh")
-        if spec.is_dlb and spec.code != "NONE" and n < 2:
-            raise ValueError(
-                "dynamic load balancing needs at least 2 processors")
-
     # -- entry point -----------------------------------------------------
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,
                  strategy: StrategyLike,
                  options: Optional[RunOptions] = None,
                  selector: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
-        options = options or RunOptions()
-        spec = strategy if isinstance(strategy, StrategySpec) \
-            else get_strategy(strategy)
         n = cluster.n_processors
-        if fault_plan is not None and fault_plan.empty:
-            fault_plan = None
-        self._validate(spec, n, options, selector, fault_plan)
+        spec, options, fault_plan = check_run(self.name, strategy, n, options,
+                                              selector, fault_plan)
         ft = options.fault_tolerance
-        if fault_plan is not None:
-            fault_plan.validate_for(n)
-            if not ft.enabled:
-                from dataclasses import replace
-                ft = replace(ft, enabled=True)
 
         table = loop.work_table()
         mean_iteration_time = table.total_work / table.n
@@ -754,7 +644,7 @@ class ProcessBackend(ExecutionBackend):
         crash_at = {c.node: c.time * self.time_scale
                     for c in fault_plan.crashes} if fault_plan else {}
 
-        ctx = self._context()
+        ctx = mp_context(self.start_method)
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(
             create=True, size=max(1, loop.n_iterations * row_bytes))
@@ -830,7 +720,7 @@ class ProcessBackend(ExecutionBackend):
             stats.crashed_nodes = tuple(sorted(crashed))
             stats.declared_dead = tuple(sorted(declared))
             stats.salvaged_iterations = salvaged
-            self._verify_coverage(stats, loop)
+            verify_coverage(stats.executed_by_node, loop.n_iterations)
             self._verify_shm(stats, shm, row_bytes)
             return stats
         finally:
@@ -853,7 +743,6 @@ class ProcessBackend(ExecutionBackend):
         Returns ``(crashed, declared_dead)``.  Raises
         :class:`BackendError` when a child dies outside the fault plan.
         """
-        sync_seen: set[tuple[int, int]] = set()
         crashed: set[int] = set()
         declared: set[int] = set()
         finished: set = set()
@@ -867,17 +756,8 @@ class ProcessBackend(ExecutionBackend):
                 _, node, ranges = rec
                 stats.executed_by_node.setdefault(node, []).extend(ranges)
             elif kind == "sync":
-                _, group, epoch, row = rec
-                if options.trace and (group, epoch) not in sync_seen:
-                    sync_seen.add((group, epoch))
-                    stats.record_sync(SyncRecord(
-                        time=row["time"], group=group, epoch=epoch,
-                        reason=row["reason"],
-                        moved_work=row["moved_work"],
-                        n_transfers=row["n_transfers"],
-                        retired=row["retired"],
-                        predicted_current=row["predicted_current"],
-                        predicted_balanced=row["predicted_balanced"]))
+                if options.trace:
+                    stats.record_sync_once(rec[1])
             elif kind == "declared":
                 declared.add(rec[2])
             elif kind == "trace":
@@ -950,16 +830,7 @@ class ProcessBackend(ExecutionBackend):
         """Re-execute orphaned iterations; credit the lowest survivor."""
         if not crashed:
             return 0
-        executed = merge_ranges(
-            [r for ranges in stats.executed_by_node.values()
-             for r in ranges])
-        orphans: list[Range] = []
-        cursor = 0
-        for start, end in executed + [(loop.n_iterations,
-                                       loop.n_iterations)]:
-            if cursor < start:
-                orphans.append((cursor, start))
-            cursor = max(cursor, end)
+        orphans = coverage_gaps(stats.executed_by_node, loop.n_iterations)
         if not orphans:
             return 0
         survivor = min(node for node in range(stats.n_processors)
@@ -984,16 +855,6 @@ class ProcessBackend(ExecutionBackend):
             count += end - start
         stats.executed_by_node.setdefault(survivor, []).extend(orphans)
         return count
-
-    @staticmethod
-    def _verify_coverage(stats: LoopRunStats, loop: LoopSpec) -> None:
-        all_ranges = [r for ranges in stats.executed_by_node.values()
-                      for r in ranges]
-        merged = merge_ranges(all_ranges)  # raises on overlap (duplicates)
-        expected = [(0, loop.n_iterations)]
-        if merged != expected:
-            raise AssertionError(
-                f"lost iterations: executed {merged}, expected {expected}")
 
     @staticmethod
     def _verify_shm(stats: LoopRunStats, shm, row_bytes: int) -> None:

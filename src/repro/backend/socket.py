@@ -52,9 +52,8 @@ salvages any coverage gap (crash orphans, grants dropped by a retiring
 receiver) by re-executing it and crediting the lowest finished
 survivor, then audits the merged coverage ledger.
 
-Deliberate non-goals (raise :class:`BackendError`), as for processes:
-the simulated load model, CUSTOM selection, the WS baseline, periodic
-synchronization, staged scatter/gather, and non-crash fault kinds.
+The features this backend refuses (:class:`BackendError`) are listed in
+:data:`~repro.backend.base.CAPABILITIES`.
 """
 
 from __future__ import annotations
@@ -67,9 +66,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from ..apps.workload import LoopSpec, WorkTable
-from ..core.redistribution import make_movement_cost_estimator
+from ..core.redistribution import movement_estimator
 from ..core.strategies.base import StrategySpec
-from ..core.strategies.registry import get_strategy
 from ..faults.liveness import HeartbeatMonitor
 from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec, build_groups
@@ -94,7 +92,6 @@ from ..protocol import (
     BalancerProtocol,
     Charge,
     ComputeDone,
-    DeclareDead,
     Done,
     Emit,
     LeaveRequested,
@@ -109,14 +106,23 @@ from ..protocol import (
     TimerFired,
     WorkerProtocol,
 )
-from ..runtime.assignment import Assignment, equal_block_partition, merge_ranges
+from ..protocol.driver import drive
+from ..runtime.assignment import (
+    Assignment,
+    CoverageError,
+    coverage_gaps,
+    equal_block_partition,
+    verify_coverage,
+)
 from ..runtime.options import FaultToleranceConfig, RunOptions
 from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
 from .base import (
     BackendError,
     ExecutionBackend,
     StrategyLike,
+    check_run,
     join_or_terminate,
+    mp_context,
 )
 
 __all__ = ["SocketBackend", "JoinEvent", "LeaveEvent", "KillEvent",
@@ -185,16 +191,6 @@ class _Dismissed(Exception):
 
 def _pairs(value) -> tuple[Range, ...]:
     return tuple((int(s), int(e)) for s, e in value or ())
-
-
-def _movement_fn(movement: Optional[tuple[float, float]], dc_bytes: int,
-                 mean_iteration_time: float):
-    if movement is None:
-        return None
-    latency, bandwidth = movement
-    return make_movement_cost_estimator(
-        latency=latency, bandwidth=bandwidth, dc_bytes=dc_bytes,
-        mean_iteration_time=mean_iteration_time)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +301,6 @@ class _ClientReporter:
         self.write(FrameType.STAT,
                    {"k": "exec", "ranges": [[s, e] for s, e in ranges]})
 
-    def sync(self, group: int, epoch: int, plan) -> None:
-        self.write(FrameType.STAT, {
-            "k": "sync", "group": group, "epoch": epoch,
-            "row": {"time": self.now(), "reason": plan.reason,
-                    "moved_work": plan.work_to_move if plan.move else 0.0,
-                    "n_transfers": len(plan.transfers),
-                    "retired": list(plan.retire),
-                    "predicted_current": plan.predicted_current,
-                    "predicted_balanced": plan.predicted_balanced}})
-
-    def declared(self, peer: int) -> None:
-        self.write(FrameType.STAT, {"k": "declared", "peer": peer})
-
     def finish(self, reason: str) -> None:
         self.write(FrameType.STAT, {
             "k": "finish", "reason": reason,
@@ -378,24 +361,11 @@ class _ClientMailbox:
                 return node
         return None
 
-    def pop_notice(self) -> Optional[tuple[str, int]]:
-        return self.notices.pop(0) if self.notices else None
-
     def check_stop(self) -> None:
         if self.die or (self.crash_due is not None and self.crash_due()):
             raise _AbruptStop()
 
     # -- filtered receive ------------------------------------------------
-    @staticmethod
-    def _matches(msg: Message, spec: AwaitMessage) -> bool:
-        if spec.tags is not None and msg.tag not in spec.tags:
-            return False
-        if spec.epoch is not None and msg.epoch != spec.epoch:
-            return False
-        if spec.srcs is not None and msg.src not in spec.srcs:
-            return False
-        return True
-
     async def get(self, spec: AwaitMessage):
         """Next notice tuple or matching message; ``None`` on timeout."""
         deadline = time.perf_counter() + (
@@ -407,7 +377,7 @@ class _ClientMailbox:
             if self.notices:
                 return self.notices.pop(0)
             for i, msg in enumerate(self.buffer):
-                if self._matches(msg, spec):
+                if spec.matches(msg):
                     return self.buffer.pop(i)
             if self.bye.is_set():
                 raise _Dismissed()
@@ -555,83 +525,101 @@ def _answer_resend(proto: WorkerProtocol, reporter: _ClientReporter,
             reporter.send(reply)
 
 
-async def _client_drive(proto: WorkerProtocol, cfg: _ClientConfig,
-                        mbox: _ClientMailbox, reporter: _ClientReporter,
-                        rec=NULL_RECORDER) -> str:
-    """The worker event pump; mirrors the process backend's driver."""
-    last_await: Optional[AwaitMessage] = None
-    commands = proto.on_event(Start())
-    while True:
-        await_spec: Optional[AwaitMessage] = None
-        next_event = None
-        for cmd in commands:
-            if isinstance(cmd, Send):
-                if isinstance(cmd.msg, ControlMsg) and cmd.msg.kind == "leave":
-                    reporter.send_leave(cmd.msg)
-                else:
-                    reporter.send(cmd.msg)
-            elif isinstance(cmd, StartCompute):
-                status = await _client_compute(proto, cfg, mbox, reporter,
-                                               rec)
-                if status == "leave":
-                    next_event = LeaveRequested()
-                else:
-                    next_event = ComputeDone(status)
-            elif isinstance(cmd, AwaitMessage):
-                await_spec = cmd
-                last_await = cmd
-            elif isinstance(cmd, RecordSync):
-                reporter.sync(cmd.group, cmd.epoch, cmd.plan)
-            elif isinstance(cmd, Charge):
-                pass  # planning costs real time on a real backend
-            elif isinstance(cmd, DeclareDead):
-                reporter.declared(cmd.peer)
-            elif isinstance(cmd, Emit):
-                rec.event(cmd.name, track=f"node{proto.me}", **cmd.args())
-            elif isinstance(cmd, Done):
-                if rec.enabled:
-                    # Ship the trace buffer ahead of the finish record so
-                    # the hub merges it before the peer turns terminal.
-                    reporter.write(FrameType.TRACE,
-                                   {"node": proto.me, **rec.to_payload()})
-                reporter.finish(cmd.reason)
-                await reporter.drain()
-                try:
-                    await asyncio.wait_for(mbox.bye.wait(), WATCHDOG_SECONDS)
-                except asyncio.TimeoutError:
-                    pass
-                return cmd.reason
-            else:  # pragma: no cover - defensive
-                raise BackendError(f"unhandled command {cmd!r}")
-        await reporter.drain()
-        if next_event is None:
-            joiner = mbox.pop_due_admit(proto.epoch)
-            notice = None if joiner is not None else mbox.pop_notice()
-            if joiner is not None:
-                next_event = PeerJoined(joiner)
-            elif notice is not None:
-                kind, who = notice
-                next_event = PeerDead(who) if kind == "dead" \
-                    else PeerLeft(who)
+class _ClientPort:
+    """The driver port of one socket worker (see
+    :mod:`repro.protocol.driver`); :func:`drive_async` awaits its
+    blocking calls."""
+
+    def __init__(self, proto: WorkerProtocol, cfg: _ClientConfig,
+                 mbox: _ClientMailbox, reporter: _ClientReporter,
+                 rec=NULL_RECORDER) -> None:
+        self.proto = proto
+        self.cfg = cfg
+        self.mbox = mbox
+        self.reporter = reporter
+        self.rec = rec
+
+    def send(self, msg: Message) -> None:
+        if isinstance(msg, ControlMsg) and msg.kind == "leave":
+            self.reporter.send_leave(msg)
+        else:
+            self.reporter.send(msg)
+
+    def record_sync(self, group: int, epoch: int, plan) -> None:
+        record = SyncRecord.from_plan(self.reporter.now(), group, epoch,
+                                      plan)
+        self.reporter.write(FrameType.STAT, {
+            "k": "sync", "group": group, "epoch": epoch,
+            "row": record.to_row()})
+
+    def declare_dead(self, peer: int) -> None:
+        self.reporter.write(FrameType.STAT, {"k": "declared", "peer": peer})
+
+    def emit(self, name: str, args: dict) -> None:
+        self.rec.event(name, track=f"node{self.proto.me}", **args)
+
+    def finish(self, reason: str) -> None:
+        if self.rec.enabled:
+            # Ship the trace buffer ahead of the finish record so the hub
+            # merges it before the peer turns terminal.
+            self.reporter.write(FrameType.TRACE,
+                                {"node": self.proto.me,
+                                 **self.rec.to_payload()})
+        self.reporter.finish(reason)
+
+    async def compute(self):
+        status = await _client_compute(self.proto, self.cfg, self.mbox,
+                                       self.reporter, self.rec)
+        return LeaveRequested() if status == "leave" \
+            else ComputeDone(status)
+
+    async def wait(self, spec: AwaitMessage):
+        """Due admits first, then death/leave notices, then a message."""
+        joiner = self.mbox.pop_due_admit(self.proto.epoch)
+        if joiner is not None:
+            return PeerJoined(joiner)
+        got = await self.mbox.get(spec)
+        if got is None:
+            self.reporter.retries += 1
+            return TimerFired()
+        if isinstance(got, tuple):
+            kind, who = got
+            return PeerDead(who) if kind == "dead" else PeerLeft(who)
+        return MessageReceived(got)
+
+    async def drain(self) -> None:
+        await self.reporter.drain()
+
+    async def bye(self) -> None:
+        try:
+            await asyncio.wait_for(self.mbox.bye.wait(), WATCHDOG_SECONDS)
+        except asyncio.TimeoutError:
+            pass
+
+
+async def drive_async(proto, port) -> str:
+    """Run :func:`~repro.protocol.driver.drive` on the event loop.
+
+    The asyncio twin of :func:`~repro.protocol.driver.drive_blocking`:
+    it awaits ``port.compute()`` / ``port.wait(spec)``, drains the
+    writer before every wait, and after ``Done`` waits for the hub's
+    BYE.  Returns the ``Done`` reason.
+    """
+    steps = drive(proto, port)
+    event = None
+    try:
+        while True:
+            request = steps.send(event)
+            if isinstance(request, StartCompute):
+                event = await port.compute()
             else:
-                if await_spec is None:
-                    # A membership pump can return no commands: keep the
-                    # previous wait armed.
-                    await_spec = last_await
-                if await_spec is None:  # pragma: no cover - defensive
-                    raise BackendError(
-                        "protocol yielded neither wait nor compute")
-                got = await mbox.get(await_spec)
-                if got is None:
-                    reporter.retries += 1
-                    next_event = TimerFired()
-                elif isinstance(got, tuple):
-                    kind, who = got
-                    next_event = PeerDead(who) if kind == "dead" \
-                        else PeerLeft(who)
-                else:
-                    next_event = MessageReceived(got)
-        commands = proto.on_event(next_event)
+                await port.drain()
+                event = await port.wait(request)
+    except StopIteration as stop:
+        reason = stop.value
+    await port.drain()
+    await port.bye()
+    return reason
 
 
 async def _connect(host: str, port: int, *, attempts: int = 40,
@@ -684,8 +672,8 @@ async def _run_client(host: str, port: int, *,
             policy=cfg.policy, table=cfg.table,
             mean_iteration_time=cfg.mean_iteration_time,
             dc_bytes=cfg.dc_bytes,
-            movement_cost_fn=_movement_fn(cfg.movement, cfg.dc_bytes,
-                                          cfg.mean_iteration_time),
+            movement_cost_fn=movement_estimator(
+                cfg.movement, cfg.dc_bytes, cfg.mean_iteration_time),
             ft=cfg.ft, profile_window_reset=cfg.profile_window_reset,
             assignment=Assignment(cfg.ranges), is_dlb=cfg.is_dlb,
             initial_epoch=cfg.epoch)
@@ -700,7 +688,8 @@ async def _run_client(host: str, port: int, *,
         reader_task = asyncio.create_task(
             _client_reader(mbox, reporter, reader, dec, pending))
         try:
-            return await _client_drive(proto, cfg, mbox, reporter, rec)
+            return await drive_async(
+                proto, _ClientPort(proto, cfg, mbox, reporter, rec))
         except _AbruptStop:
             writer.transport.abort()
             return "crashed"
@@ -790,7 +779,7 @@ class _Hub:
             self.balancer = BalancerProtocol(
                 0, [list(g) for g in groups], policy=options.policy,
                 mean_iteration_time=table.total_work / table.n,
-                movement_cost_fn=_movement_fn(
+                movement_cost_fn=movement_estimator(
                     movement, 0, table.total_work / table.n),
                 ft=ft)
             self.balancer.emit_trace = recorder.enabled
@@ -810,7 +799,6 @@ class _Hub:
         self.spawner: Optional[Callable[[], None]] = None
         self.monitor = HeartbeatMonitor.from_ft(ft) if ft.enabled else None
         self._fired: set[int] = set()
-        self._sync_seen: set[tuple[int, int]] = set()
         self._next_initial = 0
         self._next_node = self.n
         self._server: Optional[asyncio.AbstractServer] = None
@@ -1056,14 +1044,8 @@ class _Hub:
                     self._write(target, FrameType.MSG,
                                 message_to_wire(msg))
             elif isinstance(cmd, RecordSync):
-                self._record_sync(cmd.group, cmd.epoch, {
-                    "time": self.now(), "reason": cmd.plan.reason,
-                    "moved_work": cmd.plan.work_to_move
-                    if cmd.plan.move else 0.0,
-                    "n_transfers": len(cmd.plan.transfers),
-                    "retired": list(cmd.plan.retire),
-                    "predicted_current": cmd.plan.predicted_current,
-                    "predicted_balanced": cmd.plan.predicted_balanced})
+                self._record_sync(SyncRecord.from_plan(
+                    self.now(), cmd.group, cmd.epoch, cmd.plan))
             elif isinstance(cmd, Emit):
                 self.recorder.event(cmd.name, track="balancer",
                                     **cmd.args())
@@ -1074,17 +1056,9 @@ class _Hub:
             else:  # pragma: no cover - defensive
                 raise BackendError(f"unhandled balancer command {cmd!r}")
 
-    def _record_sync(self, group: int, epoch: int, row: dict) -> None:
-        if not self.options.trace or (group, epoch) in self._sync_seen:
-            return
-        self._sync_seen.add((group, epoch))
-        self.stats.record_sync(SyncRecord(
-            time=float(row["time"]), group=group, epoch=epoch,
-            reason=row["reason"], moved_work=float(row["moved_work"]),
-            n_transfers=int(row["n_transfers"]),
-            retired=tuple(int(n) for n in row["retired"]),
-            predicted_current=float(row["predicted_current"]),
-            predicted_balanced=float(row["predicted_balanced"])))
+    def _record_sync(self, record: SyncRecord) -> None:
+        if self.options.trace:
+            self.stats.record_sync_once(record)
 
     def _on_stat(self, peer: _Peer, body: dict) -> None:
         kind = body.get("k")
@@ -1095,8 +1069,8 @@ class _Hub:
             self.exec_total += sum(e - s for s, e in ranges)
             self._fire_script()
         elif kind == "sync":
-            self._record_sync(int(body["group"]), int(body["epoch"]),
-                              body["row"])
+            self._record_sync(SyncRecord.from_row(
+                body["group"], body["epoch"], body["row"]))
         elif kind == "declared":
             self.declared.add(int(body["peer"]))
         elif kind == "finish":
@@ -1224,14 +1198,12 @@ class _Hub:
 
     def _coverage_complete(self) -> Optional[bool]:
         """True when every iteration is covered; None on overlap."""
-        all_ranges = [r for ranges in self.stats.executed_by_node.values()
-                      for r in ranges]
         try:
-            merged = merge_ranges(all_ranges)
-        except ValueError as exc:
-            self.errors.append(f"duplicated iterations: {exc}")
+            return not coverage_gaps(self.stats.executed_by_node,
+                                     self.loop_spec.n_iterations)
+        except CoverageError as exc:
+            self.errors.append(str(exc))
             return None
-        return merged == [(0, self.loop_spec.n_iterations)]
 
     async def run_completion(self) -> None:
         """Declare the run over; dismiss stragglers once coverage holds."""
@@ -1296,37 +1268,22 @@ class _Hub:
         self.stats.payload_by_frame = dict(sorted(self.frames.items()))
         self.stats.transport_payload_bytes = sum(self.frames.values())
         if not self.errors:
-            all_ranges = [r for rs in self.stats.executed_by_node.values()
-                          for r in rs]
             try:
-                merged = merge_ranges(all_ranges)
-            except ValueError as exc:
-                self.errors.append(f"duplicated iterations: {exc}")
-                return
-            expected = [(0, self.loop_spec.n_iterations)]
-            if merged != expected:
-                self.errors.append(
-                    f"lost iterations: executed {merged}, "
-                    f"expected {expected}")
+                verify_coverage(self.stats.executed_by_node,
+                                self.loop_spec.n_iterations)
+            except CoverageError as exc:
+                self.errors.append(str(exc))
 
     async def _salvage(self) -> int:
         """Re-execute orphaned iterations; credit the lowest survivor."""
         if self.errors:
             return 0
         try:
-            executed = merge_ranges(
-                [r for ranges in self.stats.executed_by_node.values()
-                 for r in ranges])
-        except ValueError as exc:
-            self.errors.append(f"duplicated iterations: {exc}")
+            orphans = coverage_gaps(self.stats.executed_by_node,
+                                    self.loop_spec.n_iterations)
+        except CoverageError as exc:
+            self.errors.append(str(exc))
             return 0
-        orphans: list[Range] = []
-        cursor = 0
-        n_iter = self.loop_spec.n_iterations
-        for start, end in executed + [(n_iter, n_iter)]:
-            if cursor < start:
-                orphans.append((cursor, start))
-            cursor = max(cursor, end)
         if not orphans:
             return 0
         survivors = [p.node for p in self.peers.values()
@@ -1375,47 +1332,6 @@ class SocketBackend(ExecutionBackend):
         #: by cumulative executed-iteration count.
         self.script = tuple(script)
 
-    def _context(self):
-        import multiprocessing
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError as exc:
-            raise BackendError(f"unknown start method {method!r}") from exc
-
-    # -- validation ------------------------------------------------------
-    def _validate(self, spec: StrategySpec, n: int, options: RunOptions,
-                  selector, fault_plan: Optional[FaultPlan]) -> None:
-        if spec.code == "WS":
-            raise BackendError(
-                "the work-stealing baseline is simulation-only")
-        if spec.code == "CUSTOM" or selector is not None:
-            raise BackendError(
-                "the CUSTOM model-based selection consults the simulated "
-                "load model; pick a concrete strategy for "
-                "--backend socket")
-        if fault_plan is not None and not fault_plan.empty:
-            if fault_plan.slowdowns or fault_plan.drops or fault_plan.delays:
-                raise BackendError(
-                    "the socket backend lifts crash faults only; "
-                    "slowdowns, drops and delays remain simulation-only")
-        if options.sync_mode != "interrupt":
-            raise BackendError(
-                "periodic synchronization is simulation-only")
-        if options.include_staging:
-            raise BackendError("staged scatter/gather is simulation-only")
-        if options.topology is not None or spec.code == "DIFF":
-            raise BackendError(
-                "graph topologies (and the diffusion strategy) run on the "
-                "sim and thread backends; the socket transport is a flat "
-                "TCP mesh")
-        if spec.is_dlb and spec.code != "NONE" and n < 2:
-            raise ValueError(
-                "dynamic load balancing needs at least 2 processors")
-
     # -- entry points ----------------------------------------------------
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,
                  strategy: StrategyLike,
@@ -1460,20 +1376,12 @@ class SocketBackend(ExecutionBackend):
                  strategy: StrategyLike, options: Optional[RunOptions],
                  selector, fault_plan: Optional[FaultPlan],
                  *, strict: bool) -> tuple[_Hub, LoopRunStats]:
-        options = options or RunOptions()
-        spec = strategy if isinstance(strategy, StrategySpec) \
-            else get_strategy(strategy)
         n = cluster.n_processors
-        if fault_plan is not None and fault_plan.empty:
-            fault_plan = None
-        self._validate(spec, n, options, selector, fault_plan)
+        spec, options, fault_plan = check_run(self.name, strategy, n, options,
+                                              selector, fault_plan)
         ft = options.fault_tolerance
-        kills = [ev for ev in self.script if isinstance(ev, KillEvent)]
-        if fault_plan is not None:
-            fault_plan.validate_for(n)
-        if (fault_plan is not None and fault_plan.crashes) or kills:
-            if not ft.enabled:
-                ft = replace(ft, enabled=True)
+        if any(isinstance(ev, KillEvent) for ev in self.script):
+            ft = replace(ft, enabled=True)
 
         table = loop.work_table()
         k = options.effective_group_size(n, spec.group_size)
@@ -1504,7 +1412,8 @@ class SocketBackend(ExecutionBackend):
     async def _run_async(self, hub: _Hub, procs: list) -> None:
         port = await hub.start(self.host, 0)
         worker_tasks: list[asyncio.Task] = []
-        ctx = self._context() if self.workers == "procs" else None
+        ctx = (mp_context(self.start_method) if self.workers == "procs"
+               else None)
 
         def spawn() -> None:
             if ctx is not None:

@@ -20,16 +20,10 @@ is the whole §3 semantics: receiver-initiated interrupts, epochs,
 profile exchange, the redistribution planner, retirement, and the
 exactly-once coverage invariant (verified after every run).
 
-Deliberate non-goals of this backend (raise :class:`BackendError`):
-
-* the simulated external-load model — on real threads the "external
-  load" is whatever your machine is actually doing;
-* the CUSTOM model-based selection and the WS baseline (both reach
-  into simulation-only machinery);
-* fault injection / the hardened protocol (crashing a thread cannot be
-  done safely from outside; the protocol transitions exist and are
-  exercised by the scripted ``tests/protocol`` suite);
-* periodic (Dome-style) synchronization and staged scatter/gather.
+The simulated external-load model does not carry over: on real threads
+the "external load" is whatever your machine is actually doing.  The
+features this backend refuses are listed in
+:data:`~repro.backend.base.CAPABILITIES`.
 """
 
 from __future__ import annotations
@@ -44,37 +38,29 @@ from ..core.redistribution import (
     make_movement_cost_estimator,
     make_topology_movement_cost_estimator,
 )
-from ..core.strategies.base import StrategySpec
-from ..core.strategies.registry import get_strategy
 from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec, build_groups
 from ..message.messages import Message, Tag
 from ..protocol import (
     AwaitMessage,
     BalancerProtocol,
-    Charge,
     ComputeDone,
-    DeclareDead,
-    Done,
     MessageReceived,
-    RecordSync,
-    Send,
-    Start,
-    StartCompute,
     TimerFired,
     WorkerProtocol,
 )
 from ..network.topology import Topology, resolve_topology
 from ..obs.metrics import CounterDict, MetricsRegistry
 from ..obs.trace import NULL_RECORDER
-from ..protocol.commands import Emit
-from ..runtime.assignment import equal_block_partition, merge_ranges
+from ..protocol.driver import drive_blocking
+from ..runtime.assignment import equal_block_partition, verify_coverage
 from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
 from .base import (
     BackendError,
     ExecutionBackend,
     StrategyLike,
+    check_run,
     join_or_terminate,
 )
 from .kernels import (
@@ -135,16 +121,6 @@ class _Mailbox:
 
     def get(self, spec: AwaitMessage) -> Optional[Message]:
         """Block until a message matches ``spec``; None on timeout."""
-
-        def matches(msg: Message) -> bool:
-            if spec.tags is not None and msg.tag not in spec.tags:
-                return False
-            if spec.epoch is not None and msg.epoch != spec.epoch:
-                return False
-            if spec.srcs is not None and msg.src not in spec.srcs:
-                return False
-            return True
-
         deadline = time.perf_counter() + (
             spec.timeout if spec.timeout is not None else WATCHDOG_SECONDS)
         with self._cond:
@@ -152,7 +128,7 @@ class _Mailbox:
                 if self._abort.is_set():
                     raise BackendError("aborted: a peer thread failed")
                 for i, msg in enumerate(self._queue):
-                    if matches(msg):
+                    if spec.matches(msg):
                         return self._queue.pop(i)
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
@@ -197,7 +173,6 @@ class _SharedStats:
         self.trace = trace
         self.recorder = recorder
         self._lock = threading.Lock()
-        self._recorded: set[tuple[int, int]] = set()
         self.t0 = time.perf_counter()
 
     def now(self) -> float:
@@ -208,22 +183,53 @@ class _SharedStats:
             self.stats.executed_by_node.setdefault(node, []).extend(ranges)
 
     def record_sync(self, group: int, epoch: int, plan) -> None:
-        key = (group, epoch)
-        with self._lock:
-            if key in self._recorded or not self.trace:
-                return
-            self._recorded.add(key)
-            self.stats.record_sync(SyncRecord(
-                time=self.now(), group=group, epoch=epoch,
-                reason=plan.reason,
-                moved_work=plan.work_to_move if plan.move else 0.0,
-                n_transfers=len(plan.transfers), retired=plan.retire,
-                predicted_current=plan.predicted_current,
-                predicted_balanced=plan.predicted_balanced))
+        if self.trace:
+            with self._lock:
+                self.stats.record_sync_once(
+                    SyncRecord.from_plan(self.now(), group, epoch, plan))
 
     def record_finish(self, node: int) -> None:
         with self._lock:
             self.stats.node_finish_times[node] = self.now()
+
+
+class _Port:
+    """The driver port of one thread: a worker, or the balancer when
+    ``proto`` is ``None`` (see :mod:`repro.protocol.driver`)."""
+
+    def __init__(self, backend: "ThreadBackend", transport: _Transport,
+                 shared: _SharedStats, box: int,
+                 proto: Optional[WorkerProtocol] = None) -> None:
+        self.backend = backend
+        self.transport = transport
+        self.shared = shared
+        self.mailbox = transport.mailboxes[box]
+        self.proto = proto
+        self.track = "balancer" if proto is None else f"node{proto.me}"
+
+    def send(self, msg: Message) -> None:
+        self.transport.post(msg)
+
+    def record_sync(self, group: int, epoch: int, plan) -> None:
+        self.shared.record_sync(group, epoch, plan)
+
+    def declare_dead(self, peer: int) -> None:  # pragma: no cover
+        raise BackendError("DeclareDead without fault tolerance")
+
+    def emit(self, name: str, args: dict) -> None:
+        self.shared.recorder.event(name, track=self.track, **args)
+
+    def finish(self, reason: str) -> None:
+        if self.proto is not None:
+            self.shared.record_finish(self.proto.me)
+
+    def compute(self) -> ComputeDone:
+        return ComputeDone(self.backend._compute(
+            self.proto, self.mailbox, self.shared, self.transport.abort))
+
+    def wait(self, spec: AwaitMessage):
+        msg = self.mailbox.get(spec)
+        return TimerFired() if msg is None else MessageReceived(msg)
 
 
 class ThreadBackend(ExecutionBackend):
@@ -257,44 +263,15 @@ class ThreadBackend(ExecutionBackend):
         self.kernel = kernel
         self._ops_rate: Optional[float] = None
 
-    # -- validation ---------------------------------------------------------
-    def _validate(self, spec: StrategySpec, n: int, options: RunOptions,
-                  selector, fault_plan: Optional[FaultPlan]) -> None:
-        if spec.code == "WS":
-            raise BackendError(
-                "the work-stealing baseline is simulation-only")
-        if spec.code == "CUSTOM" or selector is not None:
-            raise BackendError(
-                "the CUSTOM model-based selection consults the simulated "
-                "load model; pick a concrete strategy for --backend thread")
-        if fault_plan is not None and not fault_plan.empty:
-            raise BackendError(
-                "fault injection is simulation-only (threads cannot be "
-                "crashed safely from outside)")
-        if options.fault_tolerance.enabled:
-            raise BackendError(
-                "the hardened protocol needs injectable faults; run it on "
-                "the sim backend (tests/protocol exercises the transitions)")
-        if options.sync_mode != "interrupt":
-            raise BackendError(
-                "periodic synchronization is simulation-only")
-        if options.include_staging:
-            raise BackendError("staged scatter/gather is simulation-only")
-        if spec.is_dlb and spec.code != "NONE" and n < 2:
-            raise ValueError(
-                "dynamic load balancing needs at least 2 processors")
-
     # -- entry point --------------------------------------------------------
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,
                  strategy: StrategyLike,
                  options: Optional[RunOptions] = None,
                  selector: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
-        options = options or RunOptions()
-        spec = strategy if isinstance(strategy, StrategySpec) \
-            else get_strategy(strategy)
         n = cluster.n_processors
-        self._validate(spec, n, options, selector, fault_plan)
+        spec, options, _ = check_run(self.name, strategy, n, options,
+                                     selector, fault_plan)
 
         table = loop.work_table()
         mean_iteration_time = table.total_work / table.n
@@ -377,8 +354,9 @@ class ThreadBackend(ExecutionBackend):
             return runner
 
         threads = [threading.Thread(
-            target=guarded(self._drive_worker, workers[node],
-                           transport, shared, errors),
+            target=guarded(drive_blocking, workers[node],
+                           _Port(self, transport, shared, node,
+                                 workers[node])),
             name=f"dlb-node{node}", daemon=True)
             for node in range(n)]
         balancer_thread = None
@@ -389,9 +367,11 @@ class ThreadBackend(ExecutionBackend):
                 movement_cost_fn=movement_cost_fn,
                 planner=planner)
             balancer.emit_trace = recorder.enabled
+            # Centralized only, so the balancer's mailbox never sees
+            # PROFILEs meant for node 0's worker: a plain filtered get.
             balancer_thread = threading.Thread(
-                target=guarded(self._drive_balancer, balancer,
-                               transport, shared, errors),
+                target=guarded(drive_blocking, balancer,
+                               _Port(self, transport, shared, balancer.host)),
                 name="dlb-balancer", daemon=True)
 
         all_threads = threads + ([balancer_thread]
@@ -437,97 +417,8 @@ class ThreadBackend(ExecutionBackend):
         stats.messages_by_tag = transport.by_tag
         stats.network_messages = transport.messages
         stats.network_bytes = transport.bytes
-        self._verify_coverage(stats, loop)
+        verify_coverage(stats.executed_by_node, loop.n_iterations)
         return stats
-
-    @staticmethod
-    def _verify_coverage(stats: LoopRunStats, loop: LoopSpec) -> None:
-        all_ranges = [r for ranges in stats.executed_by_node.values()
-                      for r in ranges]
-        merged = merge_ranges(all_ranges)  # raises on overlap (duplicates)
-        expected = [(0, loop.n_iterations)]
-        if merged != expected:
-            raise AssertionError(
-                f"lost iterations: executed {merged}, expected {expected}")
-
-    # -- drivers ------------------------------------------------------------
-    def _drive_worker(self, proto: WorkerProtocol, transport: _Transport,
-                      shared: _SharedStats,
-                      errors: list[BaseException]) -> None:
-        mailbox = transport.mailboxes[proto.me]
-        abort = transport.abort
-        commands = proto.on_event(Start())
-        while True:
-            await_spec: Optional[AwaitMessage] = None
-            next_event = None
-            for cmd in commands:
-                if isinstance(cmd, Send):
-                    transport.post(cmd.msg)
-                elif isinstance(cmd, StartCompute):
-                    status = self._compute(proto, mailbox, shared, abort)
-                    next_event = ComputeDone(status)
-                elif isinstance(cmd, AwaitMessage):
-                    await_spec = cmd
-                elif isinstance(cmd, RecordSync):
-                    shared.record_sync(cmd.group, cmd.epoch, cmd.plan)
-                elif isinstance(cmd, Charge):
-                    pass  # wall-clock time is charged by reality
-                elif isinstance(cmd, Emit):
-                    shared.recorder.event(cmd.name,
-                                          track=f"node{proto.me}",
-                                          **cmd.args())
-                elif isinstance(cmd, Done):
-                    shared.record_finish(proto.me)
-                    return
-                elif isinstance(cmd, DeclareDead):  # pragma: no cover
-                    raise BackendError(
-                        "DeclareDead without fault tolerance")
-                else:  # pragma: no cover - defensive
-                    raise BackendError(f"unhandled command {cmd!r}")
-            if next_event is None:
-                if await_spec is None:  # pragma: no cover - defensive
-                    raise BackendError(
-                        "protocol yielded neither wait nor compute")
-                if errors:
-                    return  # a peer died; stop pumping
-                msg = mailbox.get(await_spec)
-                next_event = (TimerFired() if msg is None
-                              else MessageReceived(msg))
-            commands = proto.on_event(next_event)
-
-    def _drive_balancer(self, proto: BalancerProtocol,
-                        transport: _Transport, shared: _SharedStats,
-                        errors: list[BaseException]) -> None:
-        mailbox = transport.mailboxes[proto.host]
-        commands = proto.on_event(Start())
-        while True:
-            await_spec = None
-            for cmd in commands:
-                if isinstance(cmd, Send):
-                    transport.post(cmd.msg)
-                elif isinstance(cmd, AwaitMessage):
-                    await_spec = cmd
-                elif isinstance(cmd, RecordSync):
-                    shared.record_sync(cmd.group, cmd.epoch, cmd.plan)
-                elif isinstance(cmd, Charge):
-                    pass
-                elif isinstance(cmd, Emit):
-                    shared.recorder.event(cmd.name, track="balancer",
-                                          **cmd.args())
-                elif isinstance(cmd, Done):
-                    return
-                else:  # pragma: no cover - defensive
-                    raise BackendError(f"unhandled command {cmd!r}")
-            if await_spec is None:  # pragma: no cover - defensive
-                raise BackendError("balancer yielded no wait")
-            if errors:
-                return
-            # The balancer's mailbox also receives PROFILEs addressed to
-            # node 0's *worker* in distributed mode — cannot happen here
-            # (centralized only), so a plain filtered get is correct.
-            msg = mailbox.get(await_spec)
-            commands = proto.on_event(TimerFired() if msg is None
-                                      else MessageReceived(msg))
 
     # -- compute ------------------------------------------------------------
     def _compute(self, proto: WorkerProtocol, mailbox: _Mailbox,

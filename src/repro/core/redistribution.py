@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SyncProfile", "RedistributionPlan", "PlannerFn",
            "plan_redistribution", "make_movement_cost_estimator",
-           "make_topology_movement_cost_estimator"]
+           "movement_estimator", "make_topology_movement_cost_estimator"]
 
 _TINY_WORK = 1e-12
 
@@ -116,6 +116,19 @@ def make_movement_cost_estimator(latency: float, bandwidth: float,
         return total
 
     return estimate
+
+
+def movement_estimator(movement: Optional[tuple[float, float]],
+                       dc_bytes: int, mean_iteration_time: float
+                       ) -> Optional[MovementCostFn]:
+    """:func:`make_movement_cost_estimator` from a picklable
+    ``(latency, bandwidth)`` pair; ``None`` (movement unpriced) passes
+    through."""
+    if movement is None:
+        return None
+    latency, bandwidth = movement
+    return make_movement_cost_estimator(latency, bandwidth, dc_bytes,
+                                        mean_iteration_time)
 
 
 def make_topology_movement_cost_estimator(params: "NetworkParameters",

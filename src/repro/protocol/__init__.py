@@ -15,10 +15,10 @@ discrete-event simulator, generators, threads, or wall clocks:
   the vocabulary between a protocol object and its execution backend.
 
 Execution backends (:mod:`repro.backend`) interpret the commands: the
-simulation backend maps them onto the deterministic event heap, the
-thread backend onto real threads, queues, and CPU-burn kernels.  New
-backends (async, multiprocess, sharded balancers) plug in here without
-touching protocol logic.
+simulation backend maps them onto the deterministic event heap; the
+thread, process and socket backends all run
+:func:`~repro.protocol.driver.drive`, the one command interpreter, each
+through its own port onto real queues, processes or sockets.
 """
 
 from .balancer import BalancerProtocol

@@ -69,6 +69,12 @@ class AwaitMessage(Command):
     srcs: Optional[tuple[int, ...]] = None
     timeout: Optional[float] = None
 
+    def matches(self, msg: Message) -> bool:
+        """Whether ``msg`` passes every filter of this wait."""
+        return ((self.tags is None or msg.tag in self.tags)
+                and (self.epoch is None or msg.epoch == self.epoch)
+                and (self.srcs is None or msg.src in self.srcs))
+
 
 @dataclass(frozen=True)
 class Charge(Command):

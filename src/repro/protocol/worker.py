@@ -15,7 +15,7 @@ It exposes two API tiers over that single state:
 1. **An event pump** — :meth:`on_event` consumes
    :mod:`~repro.protocol.events` and returns
    :mod:`~repro.protocol.commands`.  This is how the real-time
-   :class:`~repro.backend.thread.ThreadBackend` and the scripted
+   backends (through :mod:`~repro.protocol.driver`) and the scripted
    ``tests/protocol`` suite drive a worker: no simulator, no threads,
    no clock — just events in, commands out.
 2. **Fine-grained transitions** — :meth:`build_profile`,

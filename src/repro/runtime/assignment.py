@@ -12,11 +12,12 @@ so uniform and non-uniform loops share one code path.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..apps.workload import WorkTable
 
-__all__ = ["Assignment", "equal_block_partition", "merge_ranges"]
+__all__ = ["Assignment", "CoverageError", "coverage_gaps",
+           "equal_block_partition", "merge_ranges", "verify_coverage"]
 
 Range = tuple[int, int]
 
@@ -34,6 +35,46 @@ def merge_ranges(ranges: Iterable[Range]) -> list[Range]:
         else:
             out.append((start, end))
     return out
+
+
+class CoverageError(AssertionError):
+    """Iterations were lost or duplicated during redistribution."""
+
+
+def _merged_ledger(executed_by_node: Mapping[int, Iterable[Range]]
+                   ) -> list[Range]:
+    try:
+        return merge_ranges(r for ranges in executed_by_node.values()
+                            for r in ranges)
+    except ValueError as exc:
+        raise CoverageError(f"duplicated iterations: {exc}") from exc
+
+
+def coverage_gaps(executed_by_node: Mapping[int, Iterable[Range]],
+                  n_iterations: int) -> list[Range]:
+    """The ranges of ``[0, n_iterations)`` no node executed.
+
+    Raises :class:`CoverageError` if any iteration ran twice.
+    """
+    gaps: list[Range] = []
+    cursor = 0
+    for start, end in _merged_ledger(executed_by_node) + [
+            (n_iterations, n_iterations)]:
+        if cursor < start:
+            gaps.append((cursor, start))
+        cursor = max(cursor, end)
+    return gaps
+
+
+def verify_coverage(executed_by_node: Mapping[int, Iterable[Range]],
+                    n_iterations: int) -> None:
+    """The exactly-once invariant: the ledger covers ``[0, n_iterations)``
+    with no iteration executed twice; :class:`CoverageError` otherwise."""
+    merged = _merged_ledger(executed_by_node)
+    expected = [(0, n_iterations)]
+    if merged != expected:
+        raise CoverageError(
+            f"lost iterations: executed {merged}, expected {expected}")
 
 
 def equal_block_partition(n_iterations: int, n_processors: int

@@ -190,12 +190,8 @@ class LoopSession:
             n_transfers=len(plan.transfers))
         if not self.options.trace:
             return
-        self.stats.record_sync(SyncRecord(
-            time=self.env.now, group=group, epoch=epoch, reason=plan.reason,
-            moved_work=plan.work_to_move if plan.move else 0.0,
-            n_transfers=len(plan.transfers), retired=plan.retire,
-            predicted_current=plan.predicted_current,
-            predicted_balanced=plan.predicted_balanced))
+        self.stats.record_sync(
+            SyncRecord.from_plan(self.env.now, group, epoch, plan))
 
     def record_executed(self, node: int, ranges: list[tuple[int, int]]) -> None:
         self.stats.executed_by_node.setdefault(node, []).extend(ranges)

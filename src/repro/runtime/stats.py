@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 __all__ = ["SyncRecord", "LoopRunStats", "StageRunStats", "AppRunStats",
@@ -49,6 +49,35 @@ class SyncRecord:
     retired: tuple[int, ...]
     predicted_current: float = 0.0
     predicted_balanced: float = 0.0
+
+    @classmethod
+    def from_plan(cls, time: float, group: int, epoch: int,
+                  plan) -> "SyncRecord":
+        """The record of ``plan`` (a ``RedistributionPlan``) at ``time``."""
+        return cls(time=time, group=group, epoch=epoch, reason=plan.reason,
+                   moved_work=plan.work_to_move if plan.move else 0.0,
+                   n_transfers=len(plan.transfers),
+                   retired=tuple(plan.retire),
+                   predicted_current=plan.predicted_current,
+                   predicted_balanced=plan.predicted_balanced)
+
+    def to_row(self) -> dict:
+        """JSON-clean fields except the ``(group, epoch)`` key."""
+        row = asdict(self)
+        del row["group"], row["epoch"]
+        row["retired"] = list(self.retired)
+        return row
+
+    @classmethod
+    def from_row(cls, group: int, epoch: int, row: dict) -> "SyncRecord":
+        """Inverse of :meth:`to_row`, coercing JSON numbers back."""
+        return cls(time=float(row["time"]), group=int(group),
+                   epoch=int(epoch), reason=row["reason"],
+                   moved_work=float(row["moved_work"]),
+                   n_transfers=int(row["n_transfers"]),
+                   retired=tuple(int(n) for n in row["retired"]),
+                   predicted_current=float(row["predicted_current"]),
+                   predicted_balanced=float(row["predicted_balanced"]))
 
 
 @dataclass
@@ -130,6 +159,13 @@ class LoopRunStats:
 
     def record_sync(self, record: SyncRecord) -> None:
         self.syncs.append(record)
+
+    def record_sync_once(self, record: SyncRecord) -> None:
+        """Record ``record`` unless its ``(group, epoch)`` already is:
+        every member of a distributed group reports the same sync."""
+        if not any(s.group == record.group and s.epoch == record.epoch
+                   for s in reversed(self.syncs)):
+            self.syncs.append(record)
 
     def summary(self) -> str:
         backend = "" if self.backend == "sim" else f" backend={self.backend}"
