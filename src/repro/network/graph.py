@@ -88,7 +88,7 @@ class NetworkModel(Protocol):
 class _Carry:
     """Callback-driven store-and-forward carry of one message.
 
-    Takes the stages of the route in order — each link, then the
+    Walks the route one stage at a time — each link, then the
     receiver's NIC — as ``request(hold)`` → release, with no generator
     frame or Process object.  Each stage costs one engine event: the
     resource schedules the end of the hold when it grants the request
@@ -96,11 +96,16 @@ class _Carry:
     in grant order, which keeps the seed oracles
     (tests/protocol/test_scale_seed_identity.py) bit-identical; the
     argument is in docs/PERFORMANCE.md, "The DES hot path".
+
+    A hop is two table lookups: the next host from the topology's
+    next-hop table, then the ``(resource, parameters, track)`` entry
+    for that directed edge from the network's edge table.  ``here`` is
+    the host the message sits at; ``-1`` once the receiver's NIC is
+    held.
     """
 
     __slots__ = ("net", "src", "dst", "nbytes", "item", "delivered",
-                 "route", "stage", "res", "hold",
-                 "link_track", "t_req")
+                 "here", "res", "hold", "track", "t_req")
 
     def __init__(self, net: "GraphNetwork", src: int, dst: int, nbytes: int,
                  item: Any, delivered: Event, extra_delay: float) -> None:
@@ -110,39 +115,42 @@ class _Carry:
         self.nbytes = nbytes
         self.item = item
         self.delivered = delivered
-        self.route: tuple[tuple[int, int], ...] = ()
-        self.stage = 0
+        self.here = src
         self.res: Optional[Resource] = None
         self.hold = 0.0
-        self.link_track: Optional[str] = None
+        self.track: Optional[str] = None
         self.t_req = 0.0
         if extra_delay > 0:
-            net.env.timeout(extra_delay).callbacks.append(self._begin)
+            net.env.timeout(extra_delay).callbacks.append(self._next_stage)
         else:
-            self._begin(None)
+            self._next_stage()
 
-    def _begin(self, _event: Optional[Event]) -> None:
-        self.route = self.net.topology.route(self.src, self.dst)
-        self._next_stage()
-
-    def _next_stage(self) -> None:
+    def _next_stage(self, _event: Optional[Event] = None) -> None:
         net = self.net
-        stage = self.stage
-        if stage < len(self.route):
-            u, v = self.route[stage]
-            res = net.link(u, v)
-            hold = net.link_params(u, v).wire_time(self.nbytes)
-            self.link_track = "link:bus" if net._shared \
-                else f"link:{min(u, v)}-{max(u, v)}"
-        elif stage == len(self.route):
-            res = net.recv_nic[self.dst]
+        here = self.here
+        dst = self.dst
+        if here == dst:
+            res = net.recv_nic[dst]
             hold = net.params.recv_overhead
-            self.link_track = None
-        else:
-            net.stats.record(self.src, self.dst, self.nbytes, local=False)
-            net._deliver(self.dst, self.item, self.delivered)
+            self.track = None
+            self.here = -1
+        elif here < 0:
+            net.stats.record(self.src, dst, self.nbytes, local=False)
+            net._deliver(dst, self.item, self.delivered)
             return
-        self.stage = stage + 1
+        else:
+            next_hop = net._next_hop
+            there = dst if next_hop is None else next_hop[dst][here]
+            if there < 0:
+                raise ValueError(f"no route {self.src}->{dst}")
+            hops = net._hops
+            if hops is None:  # shared medium: every edge is the one wire
+                res, params, self.track = \
+                    net.bus, net.link_params(here, there), "link:bus"
+            else:
+                res, params, self.track = hops[(here, there)]
+            hold = params.wire_time(self.nbytes)
+            self.here = there
         self.res = res
         self.hold = hold
         self.t_req = net.env.now
@@ -150,14 +158,15 @@ class _Carry:
 
     def _release(self, req: Event) -> None:
         self.res.release(req)
-        if self.link_track is not None:
+        recorder = self.net.recorder
+        if recorder.enabled and self.track is not None:
             # Wire occupancy (plus queueing behind earlier frames, as an
             # arg): recorded inside the existing release callback, so no
             # extra DES events — the seed oracles stay bit-identical.
             now = self.net.env.now
-            self.net.recorder.complete(
+            recorder.complete(
                 "transfer", now - self.hold, self.hold,
-                track=self.link_track, src=self.src, dst=self.dst,
+                track=self.track, src=self.src, dst=self.dst,
                 nbytes=self.nbytes,
                 queued=max(now - self.hold - self.t_req, 0.0))
         self._next_stage()
@@ -177,16 +186,22 @@ class GraphNetwork:
         # Resource creation order matters for event-queue tie-breaking:
         # wire(s) first, then send NICs, then recv NICs — the exact order
         # the original SharedBusNetwork used.
-        self._links: dict[tuple[int, int], Resource] = {}
-        self._shared = topology.shared_medium
+        #: Edge table: each directed edge ``(u, v)`` maps to its wire
+        #: resource, effective parameters and trace track, so a hop is
+        #: one lookup.  ``None`` for the shared medium: one wire for
+        #: every edge, and the bus edge set is O(P^2).
+        self._hops: Optional[dict[tuple[int, int],
+                                  tuple[Resource, NetworkParameters,
+                                        str]]] = None
+        self._next_hop = topology.next_hop
         if topology.shared_medium:
-            # One wire for every edge; no per-edge dict (the bus edge set
-            # is O(P^2) — link() special-cases the shared medium).
             self.bus = Resource(env, capacity=1, name="ethernet-bus")
         else:
+            self._hops = {}
             for u, v in topology.edges:
-                self._links[(u, v)] = Resource(env, capacity=1,
-                                               name=f"link{u}-{v}")
+                entry = (Resource(env, capacity=1, name=f"link{u}-{v}"),
+                         self.link_params(u, v), f"link:{u}-{v}")
+                self._hops[(u, v)] = self._hops[(v, u)] = entry
         self.send_nic = [Resource(env, name=f"send-nic{i}")
                          for i in range(self.n_hosts)]
         self.recv_nic = [Resource(env, name=f"recv-nic{i}")
@@ -214,9 +229,9 @@ class GraphNetwork:
 
     def link(self, u: int, v: int) -> Resource:
         """The wire resource for the (undirected) edge ``u - v``."""
-        if self._shared:
+        if self._hops is None:
             return self.bus
-        return self._links[(u, v) if u < v else (v, u)]
+        return self._hops[(u, v)][0]
 
     def link_params(self, u: int, v: int) -> NetworkParameters:
         """Effective parameters on edge ``u - v`` (override or default)."""

@@ -15,7 +15,8 @@ resource*: every pair of hosts is adjacent (all routes are one hop) and
 the seed results bit-identical after the refactor.
 
 Routing is deterministic shortest-path: a BFS next-hop table with
-lowest-neighbor-id tie-breaking, computed once per topology and cached.
+lowest-neighbor-id tie-breaking, computed once per topology and cached
+(and, for named kinds, shared across runs by :func:`resolve_topology`).
 Messages are carried store-and-forward, paying each link's wire time in
 sequence (see :mod:`repro.network.graph`).
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .parameters import NetworkParameters
@@ -233,9 +234,14 @@ class Topology:
     # -- routing ---------------------------------------------------------
 
     @cached_property
-    def _next_hop(self) -> tuple[tuple[int, ...], ...]:
-        """``_next_hop[dst][src]`` = first hop on the shortest src->dst
-        path (BFS from each destination, lowest-id tie-break)."""
+    def next_hop(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """``next_hop[dst][src]`` = first hop on the shortest src->dst
+        path (BFS from each destination, lowest-id tie-break), ``-1``
+        where dst is unreachable.  ``None`` for complete graphs: every
+        pair is adjacent, and the table would be O(P^2) time and memory.
+        """
+        if isinstance(self.edges, _AllPairs):
+            return None
         table: list[tuple[int, ...]] = []
         for dst in range(self.n_hosts):
             hop = [-1] * self.n_hosts
@@ -262,14 +268,13 @@ class Topology:
         """
         if src == dst:
             return ()
-        if isinstance(self.edges, _AllPairs):
-            # Complete graph: every pair is adjacent.  Skipping the BFS
-            # table matters at scale — it is O(P^2) time and memory.
+        next_hop = self.next_hop
+        if next_hop is None:
             return ((src, dst),)
         hops: list[tuple[int, int]] = []
         here = src
         while here != dst:
-            there = self._next_hop[dst][here]
+            there = next_hop[dst][here]
             if there < 0:  # pragma: no cover - guarded by is_connected
                 raise ValueError(f"no route {src}->{dst}")
             hops.append((here, there))
@@ -473,9 +478,12 @@ def resolve_topology(spec: TopologySpec, n_hosts: int) -> Topology:
     ``None`` and ``"bus"`` give the paper's shared bus.  A ``file:``
     spec loads the adjacency file and checks its host count matches.
     An explicit :class:`Topology` is validated for size and returned.
+    Named kinds are shared per ``(spec, n_hosts)``: a :class:`Topology`
+    is frozen, so every run on the same graph reuses one instance and
+    its cached routing table.
     """
     if spec is None:
-        return Topology.bus(n_hosts)
+        return _named_topology("bus", n_hosts)
     if isinstance(spec, Topology):
         if spec.n_hosts != n_hosts:
             raise ValueError(f"topology is for {spec.n_hosts} hosts, "
@@ -487,17 +495,13 @@ def resolve_topology(spec: TopologySpec, n_hosts: int) -> Topology:
             raise ValueError(f"adjacency file has {topo.n_hosts} hosts, "
                              f"run has {n_hosts}")
         return topo
-    builders = {
-        "bus": Topology.bus,
-        "complete": Topology.complete,
-        "ring": Topology.ring,
-        "mesh": Topology.mesh,
-        "torus": Topology.torus,
-    }
-    try:
-        builder = builders[spec]
-    except KeyError:
+    if spec not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology {spec!r}: expected one of "
                          f"{', '.join(TOPOLOGY_KINDS)} or "
-                         f"file:<adjacency.json>") from None
-    return builder(n_hosts)
+                         f"file:<adjacency.json>")
+    return _named_topology(spec, n_hosts)
+
+
+@lru_cache(maxsize=8)
+def _named_topology(kind: str, n_hosts: int) -> Topology:
+    return getattr(Topology, kind)(n_hosts)

@@ -30,7 +30,8 @@ __all__ = ["Resource"]
 
 
 class _Request(Event):
-    __slots__ = ("delay",)
+    # ``queued_at``: when a request that had to wait joined the queue.
+    __slots__ = ("delay", "queued_at")
 
 
 class Resource:
@@ -48,7 +49,6 @@ class Resource:
         # -- statistics (for contention analysis / tests) -----------------
         self.total_requests = 0
         self.total_wait_time = 0.0
-        self._request_times: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -71,12 +71,12 @@ class Resource:
         req.delay = delay
         self.total_requests += 1
         if len(self._users) < self.capacity:
-            # Granted at once: zero wait, so skip the timestamp churn —
-            # this is the overwhelmingly common case on the hot path.
+            # Granted at once: zero wait, nothing to stamp — this is the
+            # overwhelmingly common case on the hot path.
             self._users.add(req)
             self._grant(req)
         else:
-            self._request_times[id(req)] = self.env.now
+            req.queued_at = self.env.now
             self._waiting.append(req)
         return req
 
@@ -88,14 +88,13 @@ class Resource:
             # Allow cancelling a queued request.
             try:
                 self._waiting.remove(request)  # type: ignore[arg-type]
-                self._request_times.pop(id(request), None)
                 return
             except ValueError:
                 raise SimulationError("release of a request that was never granted")
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
-            self._account_wait(nxt)
+            self.total_wait_time += self.env.now - nxt.queued_at
             self._grant(nxt)
 
     def _grant(self, req: _Request) -> None:
@@ -103,11 +102,6 @@ class Resource:
         # in grant order and equal-time holds fire in that order.
         req._value = None
         self.env._schedule(req, PRIORITY_NORMAL, req.delay)
-
-    def _account_wait(self, req: _Request) -> None:
-        start = self._request_times.pop(id(req), None)
-        if start is not None:
-            self.total_wait_time += self.env.now - start
 
     def use(self, hold_time: float) -> Generator[Event, None, None]:
         """Acquire, hold for ``hold_time`` simulated seconds, release.

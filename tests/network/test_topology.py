@@ -1,5 +1,6 @@
 """Unit tests for the Topology graph abstraction."""
 
+import dataclasses
 import json
 
 import pytest
@@ -212,3 +213,31 @@ def test_resolve_topology_checks_host_count(tmp_path):
     with pytest.raises(ValueError, match="2 hosts"):
         resolve_topology(f"file:{path}", 5)
     assert resolve_topology(f"file:{path}", 2).n_hosts == 2
+
+
+def test_resolve_topology_shares_named_kinds(tmp_path):
+    for kind in ("bus", "complete", "ring", "mesh", "torus"):
+        assert resolve_topology(kind, 9) is resolve_topology(kind, 9)
+    assert resolve_topology(None, 9) is resolve_topology("bus", 9)
+    assert resolve_topology("ring", 9) is not resolve_topology("ring", 10)
+    # Adjacency files are read afresh; explicit graphs come back as given.
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"0": [1], "1": [0]}))
+    spec = f"file:{path}"
+    assert resolve_topology(spec, 2) is not resolve_topology(spec, 2)
+    own = Topology.ring(9)
+    assert resolve_topology(own, 9) is own
+
+
+def test_resolve_topology_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown topology 'star'"):
+        resolve_topology("star", 4)
+
+
+def test_shared_topology_is_frozen():
+    topo = resolve_topology("ring", 9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.n_hosts = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.edges = ()
+    assert resolve_topology("ring", 9).n_hosts == 9

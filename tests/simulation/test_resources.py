@@ -257,3 +257,48 @@ def test_wait_time_counts_queued_delayed_requests(env):
 def test_negative_delay_rejected(env):
     with pytest.raises(ScheduleInPastError):
         Resource(env).request(-1.0)
+
+
+# -- wait accounting -------------------------------------------------------
+
+def test_cancelled_queued_request_adds_no_wait(env):
+    res = Resource(env)
+    held = res.request(2.0)
+
+    def canceller():
+        yield env.timeout(0.5)
+        queued = res.request(1.0)
+        yield env.timeout(1.0)
+        res.release(queued)  # cancelled after queueing 1.0 s
+
+    env.process(canceller())
+    env.run()
+    res.release(held)
+    assert res.total_requests == 2
+    assert res.total_wait_time == 0.0
+
+
+def test_contended_fifo_wait_time_is_hand_computed(env):
+    res = Resource(env)
+    log = []
+    env.process(_hold(env, res, 2.0, log, "holder"))
+    env.process(_hold(env, res, 1.0, log, "a", at=0.5))
+    env.process(_hold(env, res, 1.0, log, "b", at=0.7))
+    env.process(_hold(env, res, 0.5, log, "c", at=1.0))
+    env.run()
+    assert log == [(2.0, "holder"), (3.0, "a"), (4.0, "b"), (4.5, "c")]
+    # a waits 0.5 -> 2.0, b 0.7 -> 3.0, c 1.0 -> 4.0.
+    assert res.total_wait_time == pytest.approx(1.5 + 2.3 + 3.0)
+
+
+def test_double_release_raises(env):
+    res = Resource(env)
+    held = res.request(1.0)
+    queued = res.request(1.0)
+    res.release(queued)
+    with pytest.raises(SimulationError):
+        res.release(queued)
+    env.run()
+    res.release(held)
+    with pytest.raises(SimulationError):
+        res.release(held)
